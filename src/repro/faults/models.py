@@ -234,8 +234,3 @@ class CompositeTamperer:
         for part in self.parts:
             codeword = part.tamper(codeword, cycle)
         return codeword
-
-
-def random_codeword(width: int, stream: SeededStream) -> int:
-    """Uniform test word for BIST random probing."""
-    return stream.bits(width) & mask(width)

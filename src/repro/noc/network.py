@@ -642,8 +642,7 @@ class Network:
 
     # -- run helpers ------------------------------------------------------------
     def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
+        drive(self, self.step, self.cycle + cycles)
 
     @property
     def drained(self) -> bool:
@@ -672,17 +671,61 @@ class Network:
         Returns True on drain; False when ``max_cycles`` elapsed or the
         network made no delivery for ``stall_limit`` cycles (deadlock).
         """
-        for _ in range(max_cycles):
-            if self.drained:
-                return True
-            self.step()
-            if (
-                stall_limit is not None
-                and self.stats.stalled_for(self.cycle) > stall_limit
-            ):
-                return False
-        return self.drained
+        return drive(
+            self,
+            self.step,
+            self.cycle + max_cycles,
+            drain=True,
+            stall_limit=stall_limit,
+        )
 
     def link_load(self) -> dict[LinkKey, int]:
         """Traversal counts per link (paper Fig. 1c)."""
         return {key: link.traversals for key, link in self.links.items()}
+
+
+def drive(
+    net: Network,
+    step: Callable[[], None],
+    end: int,
+    *,
+    drain: bool = False,
+    stall_limit: Optional[int] = None,
+    land: Optional[Callable[[int, Optional[int]], None]] = None,
+) -> bool:
+    """The run loop: call ``step`` until ``net.cycle`` reaches ``end``.
+
+    ``step`` advances the clock by one cycle (``Network.step``, or
+    ``Simulation.step`` with its trojan schedule and checkpoints).
+    With ``drain`` the loop returns True as soon as the network is
+    drained, checked before each step, and returns whether it drained
+    once ``end`` is reached.  With ``stall_limit`` it returns False
+    after the step that leaves the network more than ``stall_limit``
+    cycles without a delivery (a deadlock).  Otherwise it returns True.
+
+    ``land(end, stall)`` is the event engine's skip decision
+    (:meth:`repro.sim.sched.EventCore.land`): before each step it may
+    move the clock across cycles it proves idle, but never past
+    ``end`` nor past ``stall``, the cycle whose step trips the stall
+    abort.  Without ``land`` every cycle is stepped, which is the
+    sweep oracle.
+    """
+    stats = net.stats
+    while net.cycle < end:
+        if drain and net.drained:
+            return True
+        if land is not None:
+            stall = None
+            if stall_limit is not None:
+                # stalled_for counts from cycle 0 until the first delivery
+                stall = max(stats.last_delivery_cycle, 0) + stall_limit
+            land(end, stall)
+            if net.cycle >= end:
+                break
+        step()
+        if (
+            stall_limit is not None
+            and stats.stalled_for(net.cycle) > stall_limit
+        ):
+            return False
+    return not drain or net.drained

@@ -5,12 +5,11 @@ Two drivers share one :class:`DetectionPipeline`:
 * :func:`run_streaming` — the live path.  It builds the simulation
   with a private events-only observability bundle, subscribes the
   pipeline to the bus, and advances the engine in chunks, pumping
-  between chunks so verdicts surface *while the run progresses*.  The
-  chunked advance is provably equivalent to the one-shot
-  :meth:`Simulation._run` loop (both engines land on identical
-  states), so the returned :class:`~repro.sim.engine.RunResult` is
-  byte-identical to a bare run — the streaming layer is a pure
-  observer.
+  between chunks so verdicts surface *while the run progresses*.  Each
+  chunk is one :meth:`Simulation.run_to` call, the method the one-shot
+  :meth:`Simulation.run` calls once, so the returned
+  :class:`~repro.sim.engine.RunResult` is byte-identical to a bare
+  run — the streaming layer is a pure observer.
 
 * :func:`replay_events` — the offline path.  It feeds a recorded
   ``events.jsonl`` stream through the identical extractor and
@@ -146,39 +145,6 @@ class StreamingRun:
         }
 
 
-def _drive(
-    sim: Simulation, chunk: int, pump: Callable[[], None]
-) -> bool:
-    """Advance ``sim`` to completion in ``chunk``-cycle slices, calling
-    ``pump`` between slices.  Returns ``completed`` with exactly the
-    semantics of the one-shot :meth:`Simulation._run` loop.
-    """
-    scenario = sim.scenario
-    net = sim.network
-    if scenario.duration is not None:
-        while net.cycle < scenario.duration:
-            sim.advance_to(min(net.cycle + chunk, scenario.duration))
-            pump()
-        return True
-    # drain mode: an absolute cycle budget, stall-aborted
-    stall_limit = scenario.stall_limit
-    while True:
-        if net.drained:
-            return True
-        remaining = scenario.max_cycles - net.cycle
-        if remaining <= 0:
-            return net.drained
-        done = sim.run_until_drained(min(chunk, remaining), stall_limit)
-        pump()
-        if done:
-            return True
-        if (
-            stall_limit is not None
-            and net.stats.stalled_for(net.cycle) > stall_limit
-        ):
-            return False  # stall abort, same condition the engine uses
-
-
 def run_streaming(
     scenario: Scenario,
     *,
@@ -244,7 +210,10 @@ def run_streaming(
                 }
             )
 
-    completed = _drive(sim, chunk, pump)
+    completed = None
+    while completed is None:
+        completed = sim.run_to(sim.network.cycle + chunk)
+        pump()
     obs.finalize(sim)
     tail = pipeline.finish(up_to=sim.network.cycle)
     if on_verdict is not None:

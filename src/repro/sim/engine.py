@@ -28,7 +28,7 @@ from repro.core.mitigation import build_mitigated_network
 from repro.core.tasp import TaspTrojan
 from repro.faults.models import GrayholeAttack, TransientFaultModel
 from repro.noc.flit import Packet, layout_for
-from repro.noc.network import Network, TrafficSource
+from repro.noc.network import Network, TrafficSource, drive
 from repro.obs import profiler as obs_profiler
 from repro.obs.instrument import ObsConfig, Observability, ambient
 from repro.resilience.containment import ContainmentCoordinator
@@ -511,29 +511,55 @@ class Simulation:
         scheduled trojan enables on the way.  In event mode, cycles no
         component claims are skipped without stepping (byte-identical
         results — see :mod:`repro.sim.sched`)."""
-        if self.event_core is not None:
-            self.event_core.advance_to(cycle)
-            return
-        while self.network.cycle < cycle:
-            self.step()
+        drive(self.network, self.step, cycle, land=self._land)
         self._fire_enables()
 
     def run_until_drained(
         self, max_cycles: int, stall_limit: Optional[int] = None
     ) -> bool:
-        if self.event_core is not None:
-            return self.event_core.run_until_drained(max_cycles, stall_limit)
         net = self.network
-        for _ in range(max_cycles):
-            if net.drained:
-                return True
-            self.step()
-            if (
-                stall_limit is not None
-                and net.stats.stalled_for(net.cycle) > stall_limit
-            ):
-                return False
-        return net.drained
+        return drive(
+            net,
+            self.step,
+            net.cycle + max_cycles,
+            drain=True,
+            stall_limit=stall_limit,
+            land=self._land,
+        )
+
+    @property
+    def _land(self):
+        """The event engine's skip decision (``None`` sweeps)."""
+        core = self.event_core
+        return core.land if core is not None else None
+
+    def run_to(self, stop: Optional[int] = None) -> Optional[bool]:
+        """Run the scenario's rules up to cycle ``stop``: advance to its
+        ``duration``, or run until it drains, with an absolute cycle
+        budget of ``max_cycles`` and its ``stall_limit`` abort.
+
+        Returns ``completed`` once the run is over, or ``None`` when
+        it reached ``stop`` first.  Without ``stop`` the run always
+        finishes; chunked drivers call this once per chunk.  The budget
+        is absolute so a run restored at cycle k stops exactly where
+        the uninterrupted run would have.
+        """
+        scenario = self.scenario
+        net = self.network
+        if scenario.duration is not None:
+            end = scenario.duration
+            self.advance_to(end if stop is None else min(stop, end))
+            return True if net.cycle >= end else None
+        end = scenario.max_cycles
+        until = end if stop is None else min(stop, end)
+        stall_limit = scenario.stall_limit
+        if self.run_until_drained(until - net.cycle, stall_limit):
+            return True
+        stalled = (
+            stall_limit is not None
+            and net.stats.stalled_for(net.cycle) > stall_limit
+        )
+        return False if stalled or net.cycle >= end else None
 
     # -- forensics -------------------------------------------------------
     def enable_forensics(
@@ -588,17 +614,7 @@ class Simulation:
             raise
 
     def _run(self) -> RunResult:
-        scenario = self.scenario
-        if scenario.duration is not None:
-            self.advance_to(scenario.duration)
-            completed = True
-        else:
-            # Budget in *absolute* cycles so a run restored at cycle k
-            # stops exactly where the uninterrupted run would have.
-            remaining = max(0, scenario.max_cycles - self.network.cycle)
-            completed = self.run_until_drained(
-                remaining, scenario.stall_limit
-            )
+        completed = bool(self.run_to())
         if self.obs is not None:
             self.obs.finalize(self)
         return self.result(completed)

@@ -11,8 +11,8 @@ engine's, by construction), and between landings the
 could possibly act on.
 
 Correctness therefore reduces to one question — "is cycle ``c`` a
-guaranteed no-op?" — answered conservatively by the next-event hooks
-this PR adds across the stack:
+guaranteed no-op?" — answered conservatively by next-event hooks
+across the stack:
 
 * ``Link.next_event_cycle()`` — earliest in-flight codeword or ACK
   arrival;
@@ -139,12 +139,13 @@ class WakeupWheel:
 
 
 class EventCore:
-    """Event-driven advance loops for one :class:`Simulation`.
+    """The event engine's skip decision for one :class:`Simulation`.
 
-    Owns the wakeup wheel and the skip decision.  The core never steps
-    the network itself — it decides *which* cycles must be stepped and
-    delegates each landing to ``sim.step()``, so a landed cycle is
-    bit-identical to the sweep engine's by construction.
+    Owns the wakeup wheel.  The core never steps the network itself:
+    :meth:`land` decides *which* cycles must be stepped, and the one
+    run loop (:func:`repro.noc.network.drive`) steps each landing with
+    ``sim.step()``, so a landed cycle is bit-identical to the sweep
+    engine's by construction.
     """
 
     __slots__ = (
@@ -242,8 +243,8 @@ class EventCore:
                 return cycle
             wheel.schedule(due, "forensics")
 
-        # drain-mode stall abort: the sweep engine detects the stall on
-        # the step after last_delivery + stall_limit cycles of silence
+        # drain-mode stall abort: the cycle whose step ends
+        # stall_limit cycles of silence (see drive)
         if stall is not None:
             if stall <= cycle:
                 return cycle
@@ -254,76 +255,31 @@ class EventCore:
             return bound
         return due
 
-    def _leap(self, target: int) -> None:
-        """Teleport the clock to ``target`` (all skipped cycles are
-        proven no-ops by :meth:`_next_due`)."""
-        net = self.sim.network
-        self.cycles_skipped += target - net.cycle
-        self.leaps += 1
-        net.cycle = target
+    def land(self, end: int, stall: Optional[int] = None) -> None:
+        """Move the clock to the next cycle that must be stepped, at
+        most to ``end``, and retire the wakes due there.
 
-    def _retire_wakes(self) -> None:
+        This is the ``land`` hook of :func:`repro.noc.network.drive`:
+        every cycle it leaps across is a proven no-op (see
+        :meth:`_next_due`), so the landed cycles step exactly as the
+        sweep engine steps them.
+        """
+        net = self.sim.network
+        prof = net.profiler
+        _t = perf_counter() if prof is not None else 0.0
+        cycle = net.cycle
+        due = self._next_due(end, stall)
+        if due > cycle:
+            target = min(due, end)
+            self.cycles_skipped += target - cycle
+            self.leaps += 1
+            net.cycle = cycle = target
+        if prof is not None:
+            prof.add("wheel", perf_counter() - _t)
+        if cycle >= end:
+            return
         wheel = self.wheel
         heap = wheel._heap
-        if not heap or heap[0] > self.sim.network.cycle:
-            return
-        for token in wheel.pop_due(self.sim.network.cycle):
-            self.wake_counts[token] = self.wake_counts.get(token, 0) + 1
-
-    # -- advance loops ----------------------------------------------------
-    def advance_to(self, target: int) -> None:
-        """Event-mode :meth:`Simulation.advance_to`: identical landed
-        cycles, teleportation across the proven-idle ones."""
-        sim = self.sim
-        net = sim.network
-        prof = net.profiler
-        while net.cycle < target:
-            _t = perf_counter() if prof is not None else 0.0
-            due = self._next_due(target)
-            if due > net.cycle:
-                self._leap(min(due, target))
-            if prof is not None:
-                prof.add("wheel", perf_counter() - _t)
-            if net.cycle >= target:
-                break
-            self._retire_wakes()
-            sim.step()
-        sim._fire_enables()
-
-    def run_until_drained(
-        self, max_cycles: int, stall_limit: Optional[int] = None
-    ) -> bool:
-        """Event-mode :meth:`Simulation.run_until_drained`: same drain
-        detection, stall abort and cycle budget as the sweep loop."""
-        sim = self.sim
-        net = sim.network
-        stats = net.stats
-        prof = net.profiler
-        end = net.cycle + max_cycles
-        while net.cycle < end:
-            if net.traffic is None or net.traffic.done(net.cycle):
-                # quiescent (empty active sets) + finished traffic is
-                # the O(1) drained fast path; the full scan still runs
-                # when only credit returns are in flight — they keep
-                # the active sets warm but don't block draining
-                if net.quiescent or net.drained:
-                    return True
-            stall = None
-            if stall_limit is not None and stats.last_delivery_cycle >= 0:
-                stall = stats.last_delivery_cycle + stall_limit
-            _t = perf_counter() if prof is not None else 0.0
-            due = self._next_due(end, stall=stall)
-            if due > net.cycle:
-                self._leap(min(due, end))
-            if prof is not None:
-                prof.add("wheel", perf_counter() - _t)
-            if net.cycle >= end:
-                break
-            self._retire_wakes()
-            sim.step()
-            if (
-                stall_limit is not None
-                and stats.stalled_for(net.cycle) > stall_limit
-            ):
-                return False
-        return net.drained
+        if heap and heap[0] <= cycle:
+            for token in wheel.pop_due(cycle):
+                self.wake_counts[token] = self.wake_counts.get(token, 0) + 1

@@ -20,7 +20,6 @@ from repro.util.bits import (
     parity,
     popcount,
     rotl,
-    rotr,
     two_hot_masks,
     BitPermutation,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "parity",
     "popcount",
     "rotl",
-    "rotr",
     "two_hot_masks",
     "BitPermutation",
     "derive_seed",

@@ -67,13 +67,6 @@ def rotl(value: int, amount: int, width: int) -> int:
     return ((value << amount) | (value >> (width - amount))) & mask(width)
 
 
-def rotr(value: int, amount: int, width: int) -> int:
-    """Rotate ``value`` right by ``amount`` within a ``width``-bit word."""
-    if width <= 0:
-        raise ValueError("rotation width must be positive")
-    return rotl(value, width - (amount % width), width)
-
-
 class BitPermutation:
     """A fixed permutation of the bits of a ``width``-bit word.
 

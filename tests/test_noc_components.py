@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.credit import CreditTracker
 from repro.noc.flit import FlitType, Packet
 from repro.noc.link import AckMessage, Link, Transmission
@@ -51,23 +51,6 @@ class TestRoundRobinArbiter:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             RoundRobinArbiter(2).grant([True])
-
-
-class TestMatrixArbiter:
-    def test_least_recently_granted(self):
-        arb = MatrixArbiter(3)
-        first = arb.grant([True, True, True])
-        second = arb.grant([True, True, True])
-        assert first != second
-
-    def test_all_get_served(self):
-        arb = MatrixArbiter(3)
-        seen = {arb.grant([True, True, True]) for _ in range(3)}
-        assert seen == {0, 1, 2}
-
-    def test_single_requester(self):
-        arb = MatrixArbiter(4)
-        assert arb.grant([False, False, True, False]) == 2
 
 
 class TestCreditTracker:

@@ -17,9 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.export import to_jsonable
+from repro.noc.config import PAPER_CONFIG
 from repro.sim import (
     ENGINE_ENV,
     EventCore,
+    ExplicitTraffic,
+    PacketSpec,
     Scenario,
     ScenarioDecodeError,
     Simulation,
@@ -266,20 +269,45 @@ class TestEventVsSweepIdentity:
         assert canonical(rs, sweep.network) == canonical(re_, event.network)
 
     def test_stall_abort_identical(self):
-        # a flow that dies mid-run must abort at the same cycle: the
-        # trojan drops everything and nothing is mitigated
         from repro.sim import DefenseSpec
 
-        scenario = dataclasses.replace(
+        # a flow that dies mid-run must abort at the same cycle: the
+        # trojan drops everything and nothing is mitigated
+        dies_mid_run = dataclasses.replace(
             fig2_style(),
             defense=DefenseSpec(),
             max_cycles=4000,
             stall_limit=300,
         )
-        sweep, event, rs, re_ = self.run_both(scenario)
-        assert not rs.completed
-        assert rs == re_
-        assert canonical(rs, sweep.network) == canonical(re_, event.network)
+        # a run with no delivery yet stalls from cycle 0: the only
+        # packet is offered after the stall limit has already expired
+        never_delivers = Scenario(
+            cfg=PAPER_CONFIG,
+            traffic=(
+                ExplicitTraffic(
+                    packets=(
+                        PacketSpec(
+                            pkt_id=0, src_core=0, dst_core=5, inject_at=900
+                        ),
+                    )
+                ),
+            ),
+            max_cycles=5000,
+            stall_limit=500,
+            sample_interval=0,
+        )
+        for scenario, abort_cycle in (
+            (dies_mid_run, None),
+            (never_delivers, 501),
+        ):
+            sweep, event, rs, re_ = self.run_both(scenario)
+            assert not rs.completed
+            if abort_cycle is not None:
+                assert rs.cycles == abort_cycle
+            assert rs == re_
+            assert canonical(rs, sweep.network) == canonical(
+                re_, event.network
+            )
 
     def test_advance_to_duration_identical(self):
         scenario = chaos_style()
@@ -324,6 +352,7 @@ class TestEventVsSweepIdentity:
 _CHILD = """
 import dataclasses, json, sys
 from repro.experiments.export import to_jsonable
+from repro.noc.config import PAPER_CONFIG
 from repro.sim import Simulation
 sim = Simulation.restore(sys.argv[1])
 result = sim.run()

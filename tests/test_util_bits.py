@@ -12,7 +12,6 @@ from repro.util.bits import (
     parity,
     popcount,
     rotl,
-    rotr,
     two_hot_masks,
 )
 
@@ -106,16 +105,6 @@ class TestRotations:
 
     def test_rotl_wrap(self):
         assert rotl(0b1000, 1, 4) == 0b0001
-
-    def test_rotr_inverse_of_rotl(self):
-        assert rotr(rotl(0xAB, 3, 8), 3, 8) == 0xAB
-
-    @given(
-        st.integers(min_value=0, max_value=mask(64)),
-        st.integers(min_value=0, max_value=200),
-    )
-    def test_rotl_rotr_roundtrip(self, value, amount):
-        assert rotr(rotl(value, amount, 64), amount, 64) == value
 
     @given(st.integers(min_value=0, max_value=mask(64)))
     def test_rotation_preserves_popcount(self, value):
