@@ -39,15 +39,25 @@ class RoundRobinArbiter:
         return None
 
     def grant_indices(self, indices: Iterable[int]) -> Optional[int]:
-        """Grant among a sparse set of requesting indices."""
-        requests = [False] * self.size
-        any_req = False
+        """Grant among a sparse set of requesting indices.
+
+        The winner is the requester fewest places at or after the
+        priority pointer — the one :meth:`grant` would pick from the
+        equivalent request vector — found without building it.
+        """
+        size = self.size
+        pointer = self._pointer
+        winner = None
+        best = size
         for i in indices:
-            requests[i] = True
-            any_req = True
-        if not any_req:
+            offset = (i - pointer) % size
+            if offset < best:
+                winner, best = i, offset
+        if winner is None:
             return None
-        return self.grant(requests)
+        self._pointer = (winner + 1) % size
+        self.grants += 1
+        return winner
 
     def peek_priority(self) -> int:
         """Current priority pointer (exposed for tests)."""

@@ -18,7 +18,9 @@ Checked invariant families (selectable via ``families``):
   in-flight credit returns + downstream occupancy (buffered or staged)
   + not-yet-accepted retransmission entries == VC depth;
 * ``buffer`` — no VC buffer, ejection queue or retransmission buffer
-  ever exceeds its capacity;
+  ever exceeds its capacity, and every router's work list
+  (:attr:`~repro.noc.router.Router.occupied_vcs`) holds exactly the flat
+  indices of its non-empty input VCs, each of which aliases that set;
 * ``holder`` — every held output VC refers to a real input VC whose
   allocation agrees;
 * ``flit`` — every injected flit is ejected, dropped, or findable
@@ -186,15 +188,33 @@ class NetworkValidator:
 
     def _check_buffer_bounds(self) -> None:
         net = self.net
+        num_vcs = net.cfg.num_vcs
         for router in net.routers:
-            for pkey, port in router.inputs.items():
+            work = router.occupied_vcs
+            occupied: set[int] = set()
+            for in_idx, (pkey, port) in enumerate(router.inputs.items()):
                 for vc_idx, vc in enumerate(port.vcs):
+                    flat = in_idx * num_vcs + vc_idx
+                    if vc.work is not work or vc.flat != flat:
+                        self._fail(
+                            "buffer",
+                            f"router {router.id} input {pkey} vc {vc_idx} "
+                            "is not wired to its router's work list",
+                        )
+                    if vc.buffer:
+                        occupied.add(flat)
                     if vc.occupancy > vc.capacity:
                         self._fail(
                             "buffer",
                             f"router {router.id} input {pkey} vc {vc_idx} "
                             f"over capacity: {vc.occupancy}>{vc.capacity}",
                         )
+            if work != occupied:
+                self._fail(
+                    "buffer",
+                    f"router {router.id} work list {sorted(work)} != "
+                    f"occupied input VCs {sorted(occupied)}",
+                )
             for direction, out in router.outputs.items():
                 if out.retrans.occupancy > out.retrans.depth:
                     self._fail(

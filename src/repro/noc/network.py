@@ -95,7 +95,7 @@ class Network:
             )
             self.links[key] = link
             out_port = self.routers[src].add_link_output(key[1], link)
-            in_port = self.routers[dst].add_link_input(OPPOSITE[key[1]])
+            in_port = self.routers[dst].add_input(OPPOSITE[key[1]])
             in_port.receiver = receiver_factory(cfg, link)
             in_port.receiver.upstream_credits = out_port.credits
             in_port.receiver.stats_sink = self.stats
@@ -195,9 +195,9 @@ class Network:
 
     def _router_settled(self, router: Router) -> bool:
         """True when the router holds no state requiring cycle work."""
+        if router.occupied_vcs:
+            return False
         for port in router.inputs.values():
-            if port.occupancy:
-                return False
             receiver = port.receiver
             if receiver is not None and receiver.staged_count:
                 return False
@@ -341,17 +341,13 @@ class Network:
         for router in self.routers:
             for key, port in router.inputs.items():
                 for vc_idx, vc in enumerate(port.vcs):
-                    doomed = [f for f in vc.buffer if f.pkt_id == pkt_id]
-                    if doomed:
-                        vc.buffer = deque(
-                            f for f in vc.buffer if f.pkt_id != pkt_id
-                        )
-                        for flit in doomed:
-                            self.stats.on_flit_degraded(flit)
-                            # the freed slot's credit goes back upstream
-                            if port.upstream_credits is not None:
-                                port.upstream_credits.release(vc_idx, cycle)
-                        purged += len(doomed)
+                    doomed = vc.remove_packet(pkt_id)
+                    for flit in doomed:
+                        self.stats.on_flit_degraded(flit)
+                        # the freed slot's credit goes back upstream
+                        if port.upstream_credits is not None:
+                            port.upstream_credits.release(vc_idx, cycle)
+                    purged += len(doomed)
                     if vc.cur_pkt == pkt_id:
                         vc.reset_packet_state()
             for out in router.outputs.values():
@@ -647,12 +643,12 @@ class Network:
     @property
     def drained(self) -> bool:
         """No traffic anywhere in the NoC."""
-        if any(self._backlogs):
+        if self._backlogged:
             return False
         if self.traffic is not None and not self.traffic.done(self.cycle):
             return False
         for router in self.routers:
-            if any(p.occupancy for p in router.inputs.values()):
+            if router.occupied_vcs:
                 return False
             if any(not o.retrans.is_empty for o in router.outputs.values()):
                 return False

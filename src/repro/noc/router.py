@@ -57,12 +57,19 @@ class SchedulingPolicy:
 
 
 class VCState:
-    """One virtual channel of an input port."""
+    """One virtual channel of an input port.
+
+    ``work`` is the owning router's :attr:`Router.occupied_vcs` and
+    ``flat`` this VC's index in it; :meth:`push` and :meth:`pop` keep
+    the flat index in the set exactly while the buffer holds a flit, so
+    every mutation of ``buffer`` must go through them (or through
+    :meth:`remove_packet`).
+    """
 
     __slots__ = ("capacity", "buffer", "route_out", "rc_cycle", "out_vc",
-                 "va_cycle", "cur_pkt")
+                 "va_cycle", "cur_pkt", "work", "flat")
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, work: set[int], flat: int):
         self.capacity = capacity
         self.buffer: deque[Flit] = deque()
         self.route_out: Optional[PortKey] = None
@@ -73,6 +80,8 @@ class VCState:
         #: dropped packet can find and reset stale per-VC state even
         #: after the packet's flits have left the buffer
         self.cur_pkt: Optional[int] = None
+        self.work = work
+        self.flat = flat
 
     @property
     def occupancy(self) -> int:
@@ -87,12 +96,27 @@ class VCState:
         return self.buffer[0] if self.buffer else None
 
     def push(self, flit: Flit) -> None:
-        if self.is_full:
+        buffer = self.buffer
+        if len(buffer) >= self.capacity:
             raise RuntimeError("VC overflow: credit flow control broken")
-        self.buffer.append(flit)
+        buffer.append(flit)
+        self.work.add(self.flat)
 
     def pop(self) -> Flit:
-        return self.buffer.popleft()
+        buffer = self.buffer
+        flit = buffer.popleft()
+        if not buffer:
+            self.work.discard(self.flat)
+        return flit
+
+    def remove_packet(self, pkt_id: int) -> list[Flit]:
+        """Discard the buffered flits of ``pkt_id``; return them."""
+        doomed = [f for f in self.buffer if f.pkt_id == pkt_id]
+        if doomed:
+            self.buffer = deque(f for f in self.buffer if f.pkt_id != pkt_id)
+            if not self.buffer:
+                self.work.discard(self.flat)
+        return doomed
 
     def reset_packet_state(self) -> None:
         self.route_out = None
@@ -104,13 +128,22 @@ class VCState:
 
 class InputPort:
     """A router input: VC buffers plus (for link inputs) the receive
-    pipeline and a handle on the upstream credit tracker."""
+    pipeline and a handle on the upstream credit tracker.
+
+    The port's VCs take flat indices ``base .. base + num_vcs - 1`` in
+    the router's ``work`` set.
+    """
 
     __slots__ = ("key", "vcs", "receiver", "upstream_credits")
 
-    def __init__(self, key: PortKey, cfg: NoCConfig):
+    def __init__(
+        self, key: PortKey, cfg: NoCConfig, work: set[int], base: int
+    ):
         self.key = key
-        self.vcs = [VCState(cfg.vc_depth) for _ in range(cfg.num_vcs)]
+        self.vcs = [
+            VCState(cfg.vc_depth, work, flat)
+            for flat in range(base, base + cfg.num_vcs)
+        ]
         self.receiver: Optional[EccReceiver] = None
         self.upstream_credits: Optional[CreditTracker] = None
 
@@ -202,11 +235,17 @@ class Router:
         self.route_fn = route_fn
         self.policy = policy or SchedulingPolicy()
 
+        #: work list: flat ``input index * num_vcs + vc`` indices of the
+        #: input VCs holding a flit, kept exact by VCState.push/pop.
+        #: RC, VA and SA visit only these, in ascending (canonical) order.
+        self.occupied_vcs: set[int] = set()
+        #: every input VC, by flat index
+        self._vcs: list[VCState] = []
         self.inputs: dict[PortKey, InputPort] = {}
         self.outputs: dict[Direction, OutputPort] = {}
         self.ejects: dict[int, EjectPort] = {}
         for local in range(cfg.concentration):
-            self.inputs[("inj", local)] = InputPort(("inj", local), cfg)
+            self.add_input(("inj", local))
             self.ejects[local] = EjectPort(
                 cfg.core_of(router_id, local), cfg.ejection_depth
             )
@@ -232,9 +271,11 @@ class Router:
         self.routing_input: Optional[PortKey] = None
 
     # -- wiring (done by Network) ----------------------------------------
-    def add_link_input(self, from_direction: Direction) -> InputPort:
-        port = InputPort(from_direction, self.cfg)
-        self.inputs[from_direction] = port
+    def add_input(self, key: PortKey) -> InputPort:
+        """Add an input port: an injection port or a link input."""
+        port = InputPort(key, self.cfg, self.occupied_vcs, len(self._vcs))
+        self._vcs.extend(port.vcs)
+        self.inputs[key] = port
         return port
 
     def add_link_output(self, direction: Direction, link: Link) -> OutputPort:
@@ -260,59 +301,54 @@ class Router:
 
     # -- BW/RC -------------------------------------------------------------
     def route_compute(self, cycle: int) -> None:
-        for port in self.inputs.values():
-            for vc in port.vcs:
-                head = vc.head
-                if (
-                    head is None
-                    or vc.route_out is not None
-                    or not head.is_head
-                    or head.last_move_cycle >= cycle
-                ):
-                    continue
-                vc.cur_pkt = head.pkt_id
-                if head.dst_router == self.id:
+        vcs = self._vcs
+        for flat in sorted(self.occupied_vcs):
+            vc = vcs[flat]
+            if vc.route_out is not None:
+                continue
+            head = vc.buffer[0]
+            if not head.is_head or head.last_move_cycle >= cycle:
+                continue
+            vc.cur_pkt = head.pkt_id
+            if head.dst_router == self.id:
+                local = head.dst_core % self.cfg.concentration
+                vc.route_out = ("ej", local)
+            else:
+                # arrival port, for routing functions that forbid
+                # 180-degree turns (non-minimal containment detours)
+                self.routing_input = self._input_keys[
+                    flat // self.cfg.num_vcs
+                ]
+                direction = self.route_fn(
+                    self.id, head.dst_router, head.src_router, self
+                )
+                if direction is None:
+                    # Routing says "local" but the id disagrees (can
+                    # happen after header SDC); eject here and let
+                    # the endpoint detect the misdelivery.
                     local = head.dst_core % self.cfg.concentration
                     vc.route_out = ("ej", local)
                 else:
-                    # arrival port, for routing functions that forbid
-                    # 180-degree turns (non-minimal containment detours)
-                    self.routing_input = port.key
-                    direction = self.route_fn(
-                        self.id, head.dst_router, head.src_router, self
-                    )
-                    if direction is None:
-                        # Routing says "local" but the id disagrees (can
-                        # happen after header SDC); eject here and let
-                        # the endpoint detect the misdelivery.
-                        local = head.dst_core % self.cfg.concentration
-                        vc.route_out = ("ej", local)
-                    else:
-                        vc.route_out = direction
-                vc.rc_cycle = cycle
+                    vc.route_out = direction
+            vc.rc_cycle = cycle
 
     # -- VA -----------------------------------------------------------------
     def vc_allocate(self, cycle: int) -> None:
         num_vcs = self.cfg.num_vcs
-        # Single pass over the input VCs, bucketing requesters by their
-        # routed output; outputs with no requesters cost nothing.
-        buckets: dict[
-            Direction, dict[int, tuple[PortKey, int, VCState]]
-        ] = {}
-        for in_idx, key in enumerate(self._input_keys):
-            port = self.inputs[key]
-            for vc_idx, vc in enumerate(port.vcs):
-                if vc.out_vc is not None or vc.rc_cycle >= cycle:
-                    continue
-                route = vc.route_out
-                if route is None or isinstance(route, tuple):
-                    continue
-                buffer = vc.buffer
-                if not buffer or not buffer[0].is_head:
-                    continue
-                buckets.setdefault(route, {})[
-                    in_idx * num_vcs + vc_idx
-                ] = (key, vc_idx, vc)
+        # Single pass over the occupied input VCs, bucketing requesters
+        # by their routed output; outputs with no requesters cost nothing.
+        buckets: dict[Direction, dict[int, VCState]] = {}
+        vcs = self._vcs
+        for flat in sorted(self.occupied_vcs):
+            vc = vcs[flat]
+            if vc.out_vc is not None or vc.rc_cycle >= cycle:
+                continue
+            route = vc.route_out
+            if route is None or isinstance(route, tuple):
+                continue
+            if not vc.buffer[0].is_head:
+                continue
+            buckets.setdefault(route, {})[flat] = vc
         torus = self.cfg.topology == "torus"
         dateline_half = num_vcs // 2
         for direction, req_info in buckets.items():
@@ -323,7 +359,7 @@ class Router:
                 continue
             requesters: list[int] = []
             allowed_by_flat: dict[int, list[int]] = {}
-            for flat, (key, vc_idx, vc) in req_info.items():
+            for flat, vc in req_info.items():
                 allowed = [
                     v
                     for v in self.policy.allowed_out_vcs(vc.buffer[0], num_vcs)
@@ -353,19 +389,18 @@ class Router:
             winner = self._va_arb[direction].grant_indices(requesters)
             if winner is None:
                 continue
-            key, vc_idx, vc = req_info[winner]
+            vc = req_info[winner]
+            in_idx, vc_idx = divmod(winner, num_vcs)
             grant_vc = allowed_by_flat[winner][0]
             vc.out_vc = grant_vc
             vc.va_cycle = cycle
-            out.holders[grant_vc] = (key, vc_idx)
+            out.holders[grant_vc] = (self._input_keys[in_idx], vc_idx)
             out.holder_pkts[grant_vc] = vc.buffer[0].pkt_id
 
     # -- SA + ST -------------------------------------------------------------
-    def _movable(self, port: InputPort, vc: VCState, cycle: int) -> bool:
-        buffer = vc.buffer
-        if not buffer:
-            return False
-        head = buffer[0]
+    def _movable(self, vc: VCState, cycle: int) -> bool:
+        """Whether the head of a non-empty VC may bid for the switch."""
+        head = vc.buffer[0]
         if head.last_move_cycle >= cycle:
             return False
         if vc.route_out is None or vc.rc_cycle >= cycle:
@@ -390,22 +425,24 @@ class Router:
         Returns the number of flits switched.
         """
         self.credit_release_dirs.clear()
+        if not self.occupied_vcs:
+            return 0
         # Input-side arbitration: each input port nominates one VC.
+        candidates_by_input: dict[int, list[int]] = {}
+        vcs = self._vcs
+        num_vcs = self.cfg.num_vcs
+        for flat in sorted(self.occupied_vcs):
+            if self._movable(vcs[flat], cycle):
+                in_idx, vc_idx = divmod(flat, num_vcs)
+                candidates_by_input.setdefault(in_idx, []).append(vc_idx)
         nominations: dict[PortKey, tuple[int, VCState]] = {}
         requests_per_out: dict[PortKey, list[int]] = {}
-        for in_idx, key in enumerate(self._input_keys):
-            port = self.inputs[key]
-            candidates = [
-                vc_idx
-                for vc_idx, vc in enumerate(port.vcs)
-                if self._movable(port, vc, cycle)
-            ]
-            if not candidates:
-                continue
+        for in_idx, candidates in candidates_by_input.items():
+            key = self._input_keys[in_idx]
             pick = self._sa_input_arb[key].grant_indices(candidates)
             if pick is None:
                 continue
-            vc = port.vcs[pick]
+            vc = self.inputs[key].vcs[pick]
             nominations[key] = (pick, vc)
             requests_per_out.setdefault(vc.route_out, []).append(in_idx)
 
@@ -544,9 +581,9 @@ class Router:
         links' wires are accounted separately through the network's
         active-link set.
         """
+        if self.occupied_vcs:
+            return cycle
         for port in self.inputs.values():
-            if port.occupancy:
-                return cycle
             receiver = port.receiver
             if receiver is not None and receiver.staged_count:
                 return cycle

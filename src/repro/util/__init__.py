@@ -20,7 +20,6 @@ from repro.util.bits import (
     parity,
     popcount,
     rotl,
-    two_hot_masks,
     BitPermutation,
 )
 from repro.util.rng import derive_seed, SeededStream, spread
@@ -34,7 +33,6 @@ __all__ = [
     "parity",
     "popcount",
     "rotl",
-    "two_hot_masks",
     "BitPermutation",
     "derive_seed",
     "SeededStream",

@@ -160,18 +160,3 @@ class BitPermutation:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BitPermutation(width={self.width})"
-
-
-def two_hot_masks(width: int) -> list[int]:
-    """All ``width``-bit values with exactly two bits set, in a canonical
-    (lexicographic by bit pair) order.
-
-    These are the payload patterns a SECDED-aware trojan cycles through:
-    each injects exactly two faults, which SECDED detects but cannot
-    correct.
-    """
-    masks: list[int] = []
-    for low in range(width):
-        for high in range(low + 1, width):
-            masks.append((1 << low) | (1 << high))
-    return masks

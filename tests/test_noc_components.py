@@ -1,5 +1,7 @@
 """Unit tests for arbiters, credits, retransmission buffers and links."""
 
+import random
+
 import pytest
 
 from repro.noc.arbiters import RoundRobinArbiter
@@ -47,6 +49,24 @@ class TestRoundRobinArbiter:
         arb = RoundRobinArbiter(5)
         assert arb.grant_indices([3]) == 3
         assert arb.grant_indices([]) is None
+
+    def test_grant_indices_matches_grant(self):
+        # grant() over the equivalent bool vector is the reference:
+        # same winner, same pointer, same grant count, request after
+        # request, for unsorted and duplicated index lists too
+        rng = random.Random(20260)
+        for size in (1, 2, 5, 8, 32):
+            sparse, dense = RoundRobinArbiter(size), RoundRobinArbiter(size)
+            for _ in range(400):
+                indices = [
+                    rng.randrange(size) for _ in range(rng.randrange(size + 2))
+                ]
+                vector = [False] * size
+                for i in indices:
+                    vector[i] = True
+                assert sparse.grant_indices(indices) == dense.grant(vector)
+                assert sparse.peek_priority() == dense.peek_priority()
+                assert sparse.grants == dense.grants
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):

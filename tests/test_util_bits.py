@@ -12,7 +12,6 @@ from repro.util.bits import (
     parity,
     popcount,
     rotl,
-    two_hot_masks,
 )
 
 
@@ -148,16 +147,3 @@ class TestBitPermutation:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
-
-
-class TestTwoHotMasks:
-    def test_count_is_n_choose_2(self):
-        assert len(two_hot_masks(8)) == 28
-
-    def test_all_have_exactly_two_bits(self):
-        for m in two_hot_masks(10):
-            assert popcount(m) == 2
-
-    def test_all_distinct(self):
-        masks = two_hot_masks(12)
-        assert len(set(masks)) == len(masks)
